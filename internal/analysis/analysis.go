@@ -348,9 +348,9 @@ func DefaultConfig() *Config {
 			// The live cluster's post-resequencer message vocabulary: what
 			// a site goroutine can pull out of its mailbox. Adding a 2PC
 			// PrepareMsg here makes every site switch that ignores it a
-			// lint error instead of a runtime stall. Transport-internal
-			// types (envelope, ackMsg) are consumed below the sum and are
-			// deliberately not members.
+			// lint error instead of a runtime stall. The wire frame
+			// (envelope, standalone acks included) is consumed below the
+			// sum and is deliberately not a member.
 			"repro/internal/live.message": {
 				"reqMsg", "dataMsg", "abortMsg", "releaseMsg", "fwdMsg",
 				"doneMsg", "grantMsg", "recallMsg", "deferMsg", "crelMsg",

@@ -70,15 +70,14 @@ func (c ARQConfig) withDefaults() ARQConfig {
 	return c
 }
 
-// ackMsg is a standalone cumulative acknowledgement: the acking site
+// ackFrame is a standalone cumulative acknowledgement: the acking site
 // (from) has contiguously received every seq <= cum on the link sender →
-// from. Acks are themselves unsequenced and unreliable — they may be
-// dropped, reordered or duplicated like any transmission — which is safe
-// because they are cumulative and a retransmission arriving as a
-// duplicate provokes a fresh ack.
-type ackMsg struct {
-	from ids.Client
-	cum  uint64
+// from. It travels as an unsequenced envelope. Acks are unreliable —
+// they may be dropped, reordered or duplicated like any transmission —
+// which is safe because they are cumulative and a retransmission
+// arriving as a duplicate provokes a fresh ack.
+func ackFrame(from ids.Client, cum uint64) envelope {
+	return envelope{src: from, ack: cum}
 }
 
 // arqStats are the observability counters the ARQ layer maintains; a
@@ -93,6 +92,44 @@ type arqStats struct {
 	maxRTO          time.Duration
 }
 
+// arqTimer is the one timer of a link half. It is made on the first arm
+// and re-armed with Reset ever after; its callback passes the time it
+// fired. A fire is current only while the timer is armed and not before
+// the arming's deadline: anything else is a callback of an earlier
+// arming that was superseded (disarmed, or re-armed) after it started,
+// and must do nothing.
+type arqTimer struct {
+	t     *time.Timer
+	fire  func() // made once per link half
+	armed bool
+	due   time.Time
+}
+
+// arm schedules the timer's callback d from now; caller holds a.mu.
+func (t *arqTimer) arm(d time.Duration) {
+	t.armed = true
+	t.due = time.Now().Add(d)
+	if t.t == nil {
+		t.t = time.AfterFunc(d, t.fire)
+		return
+	}
+	t.t.Stop() // Stop before Reset (timerhygiene); no channel to drain
+	t.t.Reset(d)
+}
+
+// disarm cancels a pending fire; caller holds a.mu.
+func (t *arqTimer) disarm() {
+	if t.armed {
+		t.t.Stop()
+		t.armed = false
+	}
+}
+
+// current reports whether a fire at now belongs to the live arming.
+func (t *arqTimer) current(now time.Time) bool {
+	return t.armed && !now.Before(t.due)
+}
+
 // arqSender is the sender half of one directed link: the envelopes put
 // on the wire but not yet covered by a cumulative ack, and the
 // retransmit timer state for the lowest of them.
@@ -101,21 +138,18 @@ type arqSender struct {
 	acked    uint64 // highest cumulative ack received
 	attempts int    // retransmissions of the current lowest unacked
 	rto      time.Duration
-	timer    *time.Timer
-	armed    bool
-	gen      int // invalidates stale timer fires after Stop/re-arm
+	timer    arqTimer
 }
 
 // arqRecv is the receiver half of one directed link: the cumulative
 // delivery point mirrored from the mailbox resequencer, how much of it
-// has been put on the wire as an ack, and the coalescing timer.
+// has been put on the wire as an ack, and the coalescing timer (armed
+// while a standalone ack is pending).
 type arqRecv struct {
-	cum     uint64 // contiguously delivered from the peer
-	acked   uint64 // last cumulative ack transmitted (standalone or piggyback)
-	reack   bool   // a duplicate arrival demands re-acking without advance
-	pending bool   // coalescing timer armed
-	timer   *time.Timer
-	gen     int
+	cum   uint64 // contiguously delivered from the peer
+	acked uint64 // last cumulative ack transmitted (standalone or piggyback)
+	reack bool   // a duplicate arrival demands re-acking without advance
+	timer arqTimer
 }
 
 // arq is the automatic-repeat-request layer sitting between network.send
@@ -155,6 +189,7 @@ func (a *arq) sender(k linkKey) *arqSender {
 	s := a.send[k]
 	if s == nil {
 		s = &arqSender{unacked: make(map[uint64]envelope), rto: a.cfg.RTO}
+		s.timer.fire = func() { a.fireRetransmit(k, time.Now()) }
 		a.send[k] = s
 	}
 	return s
@@ -164,6 +199,7 @@ func (a *arq) receiver(k linkKey) *arqRecv {
 	r := a.recv[k]
 	if r == nil {
 		r = &arqRecv{}
+		r.timer.fire = func() { a.fireAck(k, time.Now()) }
 		a.recv[k] = r
 	}
 	return r
@@ -183,8 +219,8 @@ func (a *arq) stampAndRetain(k linkKey, env *envelope) {
 	env.ack = a.piggybackLocked(k)
 	s := a.sender(k)
 	s.unacked[env.seq] = *env
-	if !s.armed {
-		a.armRetransmit(k, s)
+	if !s.timer.armed {
+		s.timer.arm(s.rto)
 	}
 }
 
@@ -202,11 +238,7 @@ func (a *arq) piggybackLocked(k linkKey) uint64 {
 	}
 	r.acked = r.cum
 	r.reack = false
-	if r.pending {
-		r.pending = false
-		r.gen++
-		r.timer.Stop()
-	}
+	r.timer.disarm()
 	return r.cum
 }
 
@@ -230,13 +262,9 @@ func (a *arq) onAck(k linkKey, cum uint64) {
 	}
 	s.attempts = 0
 	s.rto = a.cfg.RTO
-	s.gen++
-	if s.armed {
-		s.timer.Stop()
-		s.armed = false
-	}
+	s.timer.disarm()
 	if !a.stopped && len(s.unacked) > 0 {
-		a.armRetransmit(k, s)
+		s.timer.arm(s.rto)
 	}
 }
 
@@ -263,26 +291,23 @@ func (a *arq) noteReceived(src, owner ids.Client, seq, cum uint64) {
 	if cum <= r.acked && !r.reack {
 		return // nothing new to acknowledge
 	}
-	if r.pending {
+	if r.timer.armed {
 		a.stats.acksCoalesced++
 		return
 	}
-	r.pending = true
-	r.gen++
-	gen := r.gen
-	r.timer = time.AfterFunc(a.cfg.AckDelay, func() { a.fireAck(k, gen) })
+	r.timer.arm(a.cfg.AckDelay)
 }
 
-// fireAck is the coalescing timer's callback: transmit one standalone
-// cumulative ack for link k back to its sender.
-func (a *arq) fireAck(k linkKey, gen int) {
+// fireAck is the coalescing timer's callback, fired at now: transmit one
+// standalone cumulative ack for link k back to its sender.
+func (a *arq) fireAck(k linkKey, now time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	r := a.recv[k]
-	if a.stopped || r == nil || gen != r.gen || !r.pending {
+	if a.stopped || r == nil || !r.timer.current(now) {
 		return
 	}
-	r.pending = false
+	r.timer.armed = false
 	if r.cum <= r.acked && !r.reack {
 		return
 	}
@@ -291,31 +316,22 @@ func (a *arq) fireAck(k linkKey, gen int) {
 	a.stats.acksSent++
 	// k.dst (the receiver) acks back to k.src over the reverse link; the
 	// ack is a plain unsequenced transmission, subject to the same chaos.
-	a.net.transmit(linkKey{src: k.dst, dst: k.src}, ackMsg{from: k.dst, cum: r.cum})
+	a.net.transmit(linkKey{src: k.dst, dst: k.src}, ackFrame(k.dst, r.cum))
 }
 
-// armRetransmit schedules the retransmission timeout for link k's lowest
-// unacked envelope. Caller holds a.mu.
-func (a *arq) armRetransmit(k linkKey, s *arqSender) {
-	s.armed = true
-	s.gen++
-	gen := s.gen
-	s.timer = time.AfterFunc(s.rto, func() { a.fireRetransmit(k, gen) })
-}
-
-// fireRetransmit is the RTO callback: re-send link k's lowest unacked
-// envelope (with a refreshed piggyback ack), double the backoff up to
-// MaxRTO, and re-arm. Exhausting the retransmit cap on one envelope
-// declares the link dead and fails the run through the fatal hook —
-// loss without progress must end loudly, never hang.
-func (a *arq) fireRetransmit(k linkKey, gen int) {
+// fireRetransmit is the RTO callback, fired at now: re-send link k's
+// lowest unacked envelope (with a refreshed piggyback ack), double the
+// backoff up to MaxRTO, and re-arm. Exhausting the retransmit cap on one
+// envelope declares the link dead and fails the run through the fatal
+// hook — loss without progress must end loudly, never hang.
+func (a *arq) fireRetransmit(k linkKey, now time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	s := a.send[k]
-	if a.stopped || a.failed || s == nil || gen != s.gen {
+	if a.stopped || a.failed || s == nil || !s.timer.current(now) {
 		return
 	}
-	s.armed = false
+	s.timer.armed = false
 	if len(s.unacked) == 0 {
 		return
 	}
@@ -339,10 +355,7 @@ func (a *arq) fireRetransmit(k linkKey, gen int) {
 		// backoff — both pause, and the timer re-arms for the remaining
 		// down time so the retransmission lands right as the link heals.
 		a.stats.quarantined++
-		s.armed = true
-		s.gen++
-		gen := s.gen
-		s.timer = time.AfterFunc(down, func() { a.fireRetransmit(k, gen) })
+		s.timer.arm(down)
 		return
 	}
 	if s.attempts >= a.cfg.RetransmitCap {
@@ -364,31 +377,23 @@ func (a *arq) fireRetransmit(k linkKey, gen int) {
 		s.rto = a.cfg.MaxRTO
 	}
 	a.stats.retransmits++
-	a.armRetransmit(k, s)
+	s.timer.arm(s.rto)
 	a.net.transmit(k, env)
 }
 
 // stop disarms every timer and bars all future transmissions. Because
 // timer callbacks transmit while holding a.mu, any transmission already
 // past its stopped-check completes before stop returns — after stop, the
-// network's delivery waitgroup can only go down.
+// layer enqueues nothing, so the network's pumps can be stopped.
 func (a *arq) stop() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stopped = true
 	for _, s := range a.send {
-		if s.armed {
-			s.timer.Stop()
-			s.armed = false
-		}
-		s.gen++
+		s.timer.disarm()
 	}
 	for _, r := range a.recv {
-		if r.pending {
-			r.timer.Stop()
-			r.pending = false
-		}
-		r.gen++
+		r.timer.disarm()
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // newTestARQ builds an arq over a network whose every destination is one
 // sink mailbox (no acks generated there), for driving the layer's state
 // machine directly. The huge RTO keeps the retransmit timer from firing
-// unless a test wants it to.
-func newTestARQ(cfg ARQConfig) (*arq, *mailbox) {
+// unless a test wants it to. The network's pumps stop when the test ends.
+func newTestARQ(t *testing.T, cfg ARQConfig) (*arq, *mailbox) {
 	sink := newMailbox(1024)
 	net := newNetwork(0, func(ids.Client) *mailbox { return sink }, nil)
+	t.Cleanup(net.stop)
 	net.arq = newARQ(cfg, net, nil)
 	return net.arq, sink
 }
@@ -36,7 +37,7 @@ func senderState(a *arq, k linkKey) (unacked int, acked uint64, armed bool, rto 
 	if s == nil {
 		return 0, 0, false, 0
 	}
-	return len(s.unacked), s.acked, s.armed, s.rto
+	return len(s.unacked), s.acked, s.timer.armed, s.rto
 }
 
 func arqStatsNow(a *arq) arqStats {
@@ -44,7 +45,7 @@ func arqStatsNow(a *arq) arqStats {
 }
 
 func TestARQCumulativeAckAdvancement(t *testing.T) {
-	a, _ := newTestARQ(ARQConfig{RTO: time.Hour})
+	a, _ := newTestARQ(t, ARQConfig{RTO: time.Hour})
 	defer a.stop()
 	k := linkKey{src: 0, dst: 1}
 	retain(a, k, 5)
@@ -69,7 +70,7 @@ func TestARQCumulativeAckAdvancement(t *testing.T) {
 }
 
 func TestARQAckResetsBackoff(t *testing.T) {
-	a, _ := newTestARQ(ARQConfig{RTO: time.Hour})
+	a, _ := newTestARQ(t, ARQConfig{RTO: time.Hour})
 	defer a.stop()
 	k := linkKey{src: 0, dst: 1}
 	retain(a, k, 2)
@@ -132,9 +133,9 @@ func TestARQQuarantinePausesCapAndBackoff(t *testing.T) {
 	// Fire well past the cap of 3; every fire lands inside the window.
 	for i := 0; i < 10; i++ {
 		a.mu.Lock()
-		gen := a.send[k].gen
+		due := a.send[k].timer.due
 		a.mu.Unlock()
-		a.fireRetransmit(k, gen)
+		a.fireRetransmit(k, due)
 	}
 	a.mu.Lock()
 	attempts, rto := a.send[k].attempts, a.send[k].rto
@@ -158,7 +159,7 @@ func TestARQQuarantinePausesCapAndBackoff(t *testing.T) {
 }
 
 // TestARQStaleTimerAfterQuarantineAckIsNoop is the timer-audit
-// regression: a quarantine re-arm bumps the sender generation, so the
+// regression: a quarantine re-arm moves the timer's deadline, so the
 // pre-quarantine timer — and any fire after an ack has drained the
 // envelope — must be inert. A stale fire that retransmitted an
 // already-acked envelope would resurrect it in the peer's resequencer
@@ -173,20 +174,23 @@ func TestARQStaleTimerAfterQuarantineAckIsNoop(t *testing.T) {
 	k := linkKey{src: 0, dst: 1}
 	retain(a, k, 1)
 	a.mu.Lock()
-	preGen := a.send[k].gen
+	preDue := a.send[k].timer.due
 	a.mu.Unlock()
-	a.fireRetransmit(k, preGen) // quarantined: re-arms under preGen+1
+	a.fireRetransmit(k, preDue) // quarantined: re-arms with a later deadline
 	if got := arqStatsNow(a).quarantined; got != 1 {
 		t.Fatalf("quarantined = %d, want 1", got)
 	}
+	a.mu.Lock()
+	quarantineDue := a.send[k].timer.due
+	a.mu.Unlock()
 	// The ack lands while the quarantine timer is parked.
 	a.onAck(k, 1)
 	if n, _, _, _ := senderState(a, k); n != 0 {
 		t.Fatalf("unacked = %d after ack, want 0", n)
 	}
 	before := a.net.messages()
-	a.fireRetransmit(k, preGen)   // pre-quarantine timer: stale generation
-	a.fireRetransmit(k, preGen+1) // quarantine timer: generation retired by the ack
+	a.fireRetransmit(k, preDue)        // pre-quarantine timer: superseded arming
+	a.fireRetransmit(k, quarantineDue) // quarantine timer: arming retired by the ack
 	if got := a.net.messages(); got != before {
 		t.Fatalf("stale timer fire transmitted %d messages after the envelope was acked", got-before)
 	}
@@ -203,6 +207,7 @@ func TestARQRetransmitBackoffScheduling(t *testing.T) {
 	dst := newMailbox(256)
 	dst.owner = 1 // no dst.arq: the receiver never acks
 	net := newNetwork(0, func(ids.Client) *mailbox { return dst }, nil)
+	defer net.stop()
 	net.arq = newARQ(ARQConfig{RTO: 10 * time.Millisecond, MaxRTO: 40 * time.Millisecond, RetransmitCap: 100}, net, nil)
 	defer net.arq.stop()
 
@@ -236,27 +241,28 @@ func TestARQRetransmitBackoffScheduling(t *testing.T) {
 }
 
 // TestARQRetransmitOfAckedSeqIsNoop pins both halves of the no-op: a
-// timer fire after everything was acked transmits nothing, and a stale
-// timer generation fires into the void.
+// timer fire after everything was acked transmits nothing, and a fire
+// of a superseded arming goes into the void.
 func TestARQRetransmitOfAckedSeqIsNoop(t *testing.T) {
-	a, _ := newTestARQ(ARQConfig{RTO: time.Hour})
+	a, _ := newTestARQ(t, ARQConfig{RTO: time.Hour})
 	defer a.stop()
 	k := linkKey{src: 0, dst: 1}
 	retain(a, k, 2)
 	a.onAck(k, 2)
 	before := a.net.messages()
 	a.mu.Lock()
-	gen := a.send[k].gen
+	due := a.send[k].timer.due
 	a.mu.Unlock()
-	a.fireRetransmit(k, gen) // empty buffer: nothing to do
+	a.fireRetransmit(k, due) // empty buffer: nothing to do
 	if got := a.net.messages(); got != before {
 		t.Fatalf("retransmit of fully acked link sent %d messages", got-before)
 	}
-	// Stale generation against a nonempty buffer is equally inert.
+	// A fire of the earlier arming against a nonempty buffer is equally
+	// inert.
 	retain(a, k, 1) // seq 1 again on a fresh... reuse link with seq 3
-	a.fireRetransmit(k, gen-1)
+	a.fireRetransmit(k, due)
 	if got := a.net.messages(); got != before {
-		t.Fatalf("stale-generation retransmit sent %d messages", got-before)
+		t.Fatalf("stale-arming retransmit sent %d messages", got-before)
 	}
 	if st := arqStatsNow(a); st.retransmits != 0 {
 		t.Fatalf("no-op retransmits counted: %d", st.retransmits)
@@ -271,6 +277,7 @@ func twoSiteRig(t *testing.T, cfg ARQConfig, policy *linkPolicy, latency time.Du
 	a.owner, b.owner = 0, 1
 	boxes := map[ids.Client]*mailbox{0: a, 1: b}
 	net := newNetwork(latency, func(c ids.Client) *mailbox { return boxes[c] }, policy)
+	t.Cleanup(net.stop)
 	fatals := make(chan error, 1)
 	net.arq = newARQ(cfg, net, func(err error) {
 		select {
@@ -364,7 +371,7 @@ func TestARQPiggybackSuppressesStandaloneAck(t *testing.T) {
 // seq means the sender missed our ack; a fresh standalone ack must go
 // out even though the cumulative point did not advance.
 func TestARQDupArrivalTriggersReack(t *testing.T) {
-	a, _ := newTestARQ(ARQConfig{RTO: time.Hour, AckDelay: 5 * time.Millisecond})
+	a, _ := newTestARQ(t, ARQConfig{RTO: time.Hour, AckDelay: 5 * time.Millisecond})
 	defer a.stop()
 	a.noteReceived(0, 1, 1, 1)
 	waitAcks := func(want int64) {
@@ -392,7 +399,7 @@ func TestARQReliableLinkDropDupReorder(t *testing.T) {
 	chaos := ChaosConfig{Drop: 0.3, Duplicate: 0.3, Reorder: 0.3}
 	for seed := uint64(1); seed <= 3; seed++ {
 		policy := newLinkPolicy(chaos, seed)
-		net, _, b, fatals := twoSiteRig(t,
+		net, a, b, fatals := twoSiteRig(t,
 			ARQConfig{RTO: 2 * time.Millisecond, MaxRTO: 16 * time.Millisecond, RetransmitCap: 100, AckDelay: 500 * time.Microsecond},
 			policy, 20*time.Microsecond)
 		const count = 300
@@ -431,7 +438,7 @@ func TestARQReliableLinkDropDupReorder(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		net.arq.stop()
-		net.wg.Wait()
+		settle(t, a, b)
 		select {
 		case m := <-b.ch:
 			t.Fatalf("seed %d: extra delivery %v (duplicate leaked)", seed, m)

@@ -321,7 +321,8 @@ func (cl *cluster) run() (*Result, error) {
 	if cl.sharded() {
 		// The site goroutines are gone (shutdown waited on them), so their
 		// state is safe to harvest single-threaded here.
-		res.Stats.TwoPC = cl.coord.coord.Counters()
+		res.Stats.TwoPC = cl.coord.crashedTPC
+		res.Stats.TwoPC.Merge(cl.coord.coord.Counters())
 		res.Stats.CoordRestarts = cl.coord.crashes
 		res.Stats.Inquiries = cl.coord.inquiries
 		res.Stats.InDoubtResolvedCommit = cl.coord.resolvedCommit
@@ -426,47 +427,20 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// shutdown stops everything the cluster started — the server and client
-// loops via stopc, the ARQ retransmit and ack timers, then the delivery
-// pumps and their timers by draining straggler messages until the
-// network's waitgroup settles. It is shared by the success and error
-// paths.
+// shutdown stops everything the cluster started — the site loops via
+// stopc, then the ARQ retransmit and ack timers, then the delivery pumps
+// — and waits for each. It is shared by the success and error paths.
 func (cl *cluster) shutdown(wg *sync.WaitGroup) {
 	close(cl.stopc)
 	wg.Wait()
 
-	// With the site loops gone no new protocol sends happen; stop the ARQ
-	// layer before waiting on the delivery waitgroup, so no timer injects
-	// a retransmission or ack while (or after) the waitgroup settles.
+	// With the site loops gone no new protocol sends happen, and a stopped
+	// ARQ layer transmits nothing either, so no delivery is enqueued once
+	// the pumps are told to quit.
 	if cl.net.arq != nil {
 		cl.net.arq.stop()
 	}
-
-	// With the site loops gone, in-flight pumps may be blocked on full
-	// mailboxes; drain every mailbox until the last delivery completes.
-	drainQuit := make(chan struct{})
-	var drains sync.WaitGroup
-	boxes := cl.protocolBoxes()
-	for _, c := range cl.clients {
-		boxes = append(boxes, c.mbox)
-	}
-	for _, b := range boxes {
-		b := b
-		drains.Add(1)
-		go func() {
-			defer drains.Done()
-			for {
-				select {
-				case <-b.ch:
-				case <-drainQuit:
-					return
-				}
-			}
-		}()
-	}
-	cl.net.wg.Wait()
-	close(drainQuit)
-	drains.Wait()
+	cl.net.stop()
 }
 
 // quiesceMsg is the harness's control probe: the server replies whether

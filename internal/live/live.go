@@ -25,6 +25,7 @@ package live
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/history"
@@ -232,8 +233,9 @@ type Stats struct {
 	WALCheckpoints int64 // checkpoint records rolled across all WALs
 	WALTruncated   int64 // log records dropped by checkpoint truncation
 
-	// TwoPC holds the coordinator's per-phase counters on a sharded run;
-	// all zero on a single-server cluster.
+	// TwoPC holds the coordinator's per-phase counters on a sharded run,
+	// summed over its incarnations (a crashed one contributes the commit
+	// requests it decided); all zero on a single-server cluster.
 	TwoPC stats.TwoPC
 }
 
@@ -337,21 +339,67 @@ type writeUpdate struct {
 	value int64
 }
 
-// delivery is one in-flight message on a link.
+// delivery is one in-flight frame on a link, held by value so nothing on
+// the wire is boxed.
 type delivery struct {
 	at  time.Time
-	msg message
+	env envelope
 }
 
-// mailbox is an endpoint of the latency-injecting network. The wire makes
-// no ordering promise — chaos mode deliberately reorders and duplicates
+// ring is a mailbox's queue of in-flight deliveries: a circular buffer
+// that doubles when full, so steady traffic reuses its slots. len(buf) is
+// zero or a power of two.
+type ring struct {
+	buf  []delivery
+	head int // slot of the front delivery
+	n    int // deliveries queued
+}
+
+// insert queues d displace slots before the tail: 0 appends, chaos
+// reordering passes more, and a displacement past the front clamps to it.
+func (r *ring) insert(d delivery, displace int) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	pos := r.n - displace
+	if pos < 0 {
+		pos = 0
+	}
+	mask := len(r.buf) - 1
+	for i := r.n; i > pos; i-- {
+		r.buf[(r.head+i)&mask] = r.buf[(r.head+i-1)&mask]
+	}
+	r.buf[(r.head+pos)&mask] = d
+	r.n++
+}
+
+// pop removes and returns the front delivery; the ring must not be empty.
+func (r *ring) pop() delivery {
+	d := r.buf[r.head]
+	r.buf[r.head] = delivery{} // release the message to the collector
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return d
+}
+
+// grow doubles a full ring, unwrapping its contents to start at slot 0.
+func (r *ring) grow() {
+	buf := make([]delivery, max(8, 2*len(r.buf)))
+	copy(buf, r.buf[r.head:])
+	copy(buf[len(r.buf)-r.head:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+// mailbox is an endpoint of the latency-injecting network: a ring queue
+// of in-flight deliveries, the one long-lived pump goroutine that drains
+// it, and the channel the owning site goroutine reads. The wire makes no
+// ordering promise — chaos mode deliberately reorders and duplicates
 // deliveries — so in-order, exactly-once delivery is not an assumption
-// but an invariant enforced here: every delivery carries a per-link
-// sequence number and the pump routes it through a resequencer before the
-// owning goroutine reads it from ch. The protocols need that invariant
-// (in c-2PL especially, a commit's finish message must not be overtaken
-// by a later cache release, or a promoted waiter would read a stale
-// version).
+// but an invariant enforced here: every envelope carries a per-link
+// sequence number and the pump routes it through a resequencer before
+// the owner reads it from ch. The protocols need that invariant (in
+// c-2PL especially, a commit's finish message must not be overtaken by a
+// later cache release, or a promoted waiter would read a stale version).
 type mailbox struct {
 	ch chan message
 
@@ -363,91 +411,121 @@ type mailbox struct {
 	arq   *arq
 
 	mu      sync.Mutex
-	queue   []delivery
-	pumping bool
+	queue   ring
+	started bool // the pump has been launched
+	idle    bool // the pump is parked on wake with nothing in hand
 
-	// reseq restores per-source order; only the single pump goroutine
-	// (serialized by the pumping flag under mu) touches it.
+	// wake is enqueue's signal to a parked pump. Only a pump marked idle
+	// is signalled, and it consumes the signal before it can be marked
+	// idle again, so one slot always suffices.
+	wake chan struct{}
+
+	// reseq restores per-source order; only the pump touches it.
 	reseq *resequencer
 }
 
 func newMailbox(buf int) *mailbox {
-	return &mailbox{ch: make(chan message, buf), reseq: newResequencer()}
+	return &mailbox{
+		ch:    make(chan message, buf),
+		wake:  make(chan struct{}, 1),
+		reseq: newResequencer(),
+	}
 }
 
-// enqueue schedules a delivery displace slots before the queue's tail
-// (0 appends; chaos reordering passes more) and ensures a pump goroutine
-// is draining the queue. It never blocks the caller.
-func (b *mailbox) enqueue(d delivery, displace int, wg *sync.WaitGroup) {
+// enqueue queues a delivery displace slots before the tail (0 appends;
+// chaos reordering passes more). It never blocks the caller: the first
+// enqueue launches the mailbox's pump on network n, and later ones
+// signal the pump only when it is parked.
+func (b *mailbox) enqueue(d delivery, displace int, n *network) {
 	b.mu.Lock()
-	pos := len(b.queue) - displace
-	if pos < 0 {
-		pos = 0
-	}
-	b.queue = append(b.queue, delivery{})
-	copy(b.queue[pos+1:], b.queue[pos:])
-	b.queue[pos] = d
-	if b.pumping {
-		b.mu.Unlock()
-		return
-	}
-	b.pumping = true
+	b.queue.insert(d, displace)
+	start, wake := !b.started, b.idle
+	b.started, b.idle = true, false
 	b.mu.Unlock()
-	go b.pump(wg)
+	switch {
+	case start:
+		n.startPump(b)
+	case wake:
+		b.wake <- struct{}{}
+	}
 }
 
-// pump delivers queued messages in queue order, sleeping out each
-// message's remaining latency and resequencing per source; it exits when
-// the queue drains.
-func (b *mailbox) pump(wg *sync.WaitGroup) {
+// pump is the mailbox's delivery goroutine. It pops deliveries in queue
+// order, waits out each one's remaining latency on a single reused
+// timer, resequences it per source into a reused buffer, and hands what
+// is due to ch; with the queue empty it parks until enqueue wakes it. It
+// exits when quit closes, from whichever of those waits it is in,
+// abandoning anything undelivered.
+func (b *mailbox) pump(quit <-chan struct{}, done *sync.WaitGroup) {
+	defer done.Done()
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	var out []message
 	for {
 		b.mu.Lock()
-		if len(b.queue) == 0 {
-			b.pumping = false
+		for b.queue.n == 0 {
+			b.idle = true
 			b.mu.Unlock()
-			return
+			select {
+			case <-b.wake:
+			case <-quit:
+				return
+			}
+			b.mu.Lock()
 		}
-		d := b.queue[0]
-		b.queue = b.queue[1:]
+		d := b.queue.pop()
 		b.mu.Unlock()
 		if wait := time.Until(d.at); wait > 0 {
-			time.Sleep(wait)
+			// Every earlier wait ended by receiving from C (or by
+			// returning), so Reset cannot leave a stale tick behind.
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
+			select {
+			case <-timer.C:
+			case <-quit:
+				return
+			}
 		}
-		for _, m := range b.deliverable(d.msg) {
-			//repolint:allow gosend -- mailboxes are buffered and the cluster drains stragglers at shutdown (see cluster.shutdown)
-			b.ch <- m
+		out = b.deliverable(d.env, out[:0])
+		for _, m := range out {
+			select {
+			case b.ch <- m:
+			case <-quit:
+				return
+			}
 		}
-		wg.Done()
 	}
 }
 
-// deliverable resequences one popped delivery into the messages now due
-// in order: none while a gap is open or for a duplicate, several when an
-// arrival closes a gap. When the ARQ layer is active, envelope arrivals
-// also feed the acknowledgement machinery — the piggybacked ack is
-// applied to this site's own sender buffers, and the arrival is noted so
-// a cumulative ack travels back — and standalone ack messages are
-// consumed here, never reaching the owner. Raw un-enveloped messages
-// (unit tests inject them) pass straight through.
-func (b *mailbox) deliverable(m message) []message {
-	//repolint:allow eventexhaust -- transport demux below the sum: protocol members pass through untouched, only the wire-layer envelope/ack are consumed
-	switch e := m.(type) {
-	case ackMsg:
+// deliverable resequences one popped frame, appending to out the
+// messages now due in order: none while a gap is open or for a
+// duplicate, several when an arrival closes a gap. When the ARQ layer is
+// active, an envelope also feeds the acknowledgement machinery — its
+// piggybacked ack is applied to this site's own sender buffers, and the
+// arrival is noted so a cumulative ack travels back — and a standalone
+// ack frame is consumed here, never reaching the owner.
+func (b *mailbox) deliverable(e envelope, out []message) []message {
+	if e.seq == 0 { // a standalone ack frame
 		if b.arq != nil {
-			b.arq.onAck(linkKey{src: b.owner, dst: e.from}, e.cum)
-		}
-		return nil
-	case envelope:
-		out := b.reseq.accept(e)
-		if b.arq != nil {
-			if e.ack > 0 {
-				b.arq.onAck(linkKey{src: b.owner, dst: e.src}, e.ack)
-			}
-			b.arq.noteReceived(e.src, b.owner, e.seq, b.reseq.delivered(e.src))
+			b.arq.onAck(linkKey{src: b.owner, dst: e.src}, e.ack)
 		}
 		return out
 	}
-	return []message{m}
+	out = b.reseq.accept(e, out)
+	if b.arq != nil {
+		if e.ack > 0 {
+			b.arq.onAck(linkKey{src: b.owner, dst: e.src}, e.ack)
+		}
+		b.arq.noteReceived(e.src, b.owner, e.seq, b.reseq.delivered(e.src))
+	}
+	return out
 }
 
 // linkKey identifies one directed link between sites.
@@ -466,13 +544,16 @@ type network struct {
 	policy  *linkPolicy // nil: well-behaved links
 	arq     *arq        // nil: no retransmission layer
 
-	mu       sync.Mutex
-	msgs     int64
-	dropped  int64
-	partDrop int64
-	seqs     map[linkKey]uint64
+	msgs     atomic.Int64 // transmissions, a duplicate counting twice
+	dropped  atomic.Int64 // transmissions lost to Chaos.Drop
+	partDrop atomic.Int64 // transmissions lost inside partition windows
 
-	wg sync.WaitGroup
+	// mu guards seqs, and orders pump launches against stop.
+	mu   sync.Mutex
+	seqs map[linkKey]uint64
+
+	quit  chan struct{} // closed by stop: every pump exits
+	pumps sync.WaitGroup
 }
 
 func newNetwork(latency time.Duration, lookup func(ids.Client) *mailbox, policy *linkPolicy) *network {
@@ -481,6 +562,7 @@ func newNetwork(latency time.Duration, lookup func(ids.Client) *mailbox, policy 
 		lookup:  lookup,
 		policy:  policy,
 		seqs:    make(map[linkKey]uint64),
+		quit:    make(chan struct{}),
 	}
 }
 
@@ -506,66 +588,70 @@ func (n *network) send(src, dst ids.Client, m message) {
 	n.transmit(k, env)
 }
 
-// transmit puts one message — a stamped envelope, a retransmission of
-// one, or an unsequenced ack — on link k, applying the chaos policy
-// between stamp and delivery. A dropped transmission is counted and
-// discarded; a duplicated one is enqueued twice. Drop and duplicate are
-// independent: the duplicate copy of a dropped transmission still
-// arrives. A partition window is not independent of anything — the link
-// itself is down, so both copies are lost.
-func (n *network) transmit(k linkKey, m message) {
+// transmit puts one frame — a stamped envelope, a retransmission of one,
+// or a standalone ack — on link k, applying the chaos policy between
+// stamp and delivery. A dropped transmission is counted and discarded; a
+// duplicated one is enqueued twice. Drop and duplicate are independent:
+// the duplicate copy of a dropped transmission still arrives. A
+// partition window is not independent of anything — the link itself is
+// down, so both copies are lost.
+func (n *network) transmit(k linkKey, e envelope) {
 	now := time.Now()
 	var d directive
 	if n.policy != nil {
 		d = n.policy.roll(k, now)
 	}
-	n.mu.Lock()
-	n.msgs++
+	copies := int64(1)
 	if d.duplicate {
-		n.msgs++
+		copies = 2
 	}
+	n.msgs.Add(copies)
 	if d.partitioned {
-		n.partDrop++
-		if d.duplicate {
-			n.partDrop++
-		}
-		n.mu.Unlock()
+		n.partDrop.Add(copies)
 		return
 	}
 	if d.drop {
-		n.dropped++
+		n.dropped.Add(1)
 	}
-	n.mu.Unlock()
 
 	at := now.Add(n.latency + d.jitter)
 	box := n.lookup(k.dst)
 	if !d.drop {
-		n.wg.Add(1)
-		box.enqueue(delivery{at: at, msg: m}, d.displace, &n.wg)
+		box.enqueue(delivery{at: at, env: e}, d.displace, n)
 	}
 	if d.duplicate {
-		n.wg.Add(1)
-		box.enqueue(delivery{at: at, msg: m}, 0, &n.wg)
+		box.enqueue(delivery{at: at, env: e}, 0, n)
 	}
 }
 
-func (n *network) messages() int64 {
+// startPump launches b's pump, unless stop has already run.
+func (n *network) startPump(b *mailbox) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.msgs
+	select {
+	case <-n.quit:
+		return
+	default:
+	}
+	n.pumps.Add(1)
+	go b.pump(n.quit, &n.pumps)
 }
 
-func (n *network) dropCount() int64 {
+// stop ends every pump — parked, waiting out a latency, or blocked on a
+// full mailbox — and returns once all have exited; deliveries still in
+// flight are abandoned. Nothing may send once stop has begun.
+func (n *network) stop() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dropped
+	close(n.quit)
+	n.mu.Unlock()
+	n.pumps.Wait()
 }
 
-func (n *network) partDropCount() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.partDrop
-}
+func (n *network) messages() int64 { return n.msgs.Load() }
+
+func (n *network) dropCount() int64 { return n.dropped.Load() }
+
+func (n *network) partDropCount() int64 { return n.partDrop.Load() }
 
 // linkDown reports how much longer link k stays inside a partition
 // window (zero: the link is up, or no partition chaos is configured).

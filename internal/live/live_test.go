@@ -236,7 +236,7 @@ func TestLiveValuesMatchVersions(t *testing.T) {
 
 // TestShutdownLeaksNoGoroutines runs a full cluster under both protocols
 // and asserts that every goroutine the cluster started — server loop,
-// client loops, delivery timers, shutdown drain helpers — has exited once
+// client loops, delivery pumps — has exited once
 // Run returns. The retry loop tolerates the runtime's lag in reaping
 // finished goroutines. CI runs this under -race, so it doubles as the
 // quiesce/shutdown data-race probe.

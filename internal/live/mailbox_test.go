@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,27 @@ type payload struct {
 	n   int
 }
 
+// settle waits until every box's pump has handed off everything enqueued
+// so far and parked, so a check for extra deliveries sees all of them.
+func settle(t *testing.T, boxes ...*mailbox) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, b := range boxes {
+		for {
+			b.mu.Lock()
+			done := b.queue.n == 0 && (b.idle || !b.started)
+			b.mu.Unlock()
+			if done {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("mailbox pump never settled (blocked on a full mailbox?)")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
 // runLinkFIFO drives nsrc concurrent senders of count messages each into
 // one destination mailbox through a network with the given policy, and
 // asserts the destination reads every sender's stream exactly once and in
@@ -22,6 +44,7 @@ func runLinkFIFO(t *testing.T, policy *linkPolicy, latency time.Duration, nsrc, 
 	t.Helper()
 	dst := newMailbox(8)
 	net := newNetwork(latency, func(ids.Client) *mailbox { return dst }, policy)
+	defer net.stop()
 	var senders sync.WaitGroup
 	for s := 0; s < nsrc; s++ {
 		s := s
@@ -47,7 +70,7 @@ func runLinkFIFO(t *testing.T, policy *linkPolicy, latency time.Duration, nsrc, 
 		}
 	}
 	senders.Wait()
-	net.wg.Wait()
+	settle(t, dst)
 	select {
 	case m := <-dst.ch:
 		t.Fatalf("extra delivery %v after all %d expected (duplicate leaked through)", m, nsrc*count)
@@ -85,6 +108,7 @@ func TestZeroLatencySendDoesNotDeadlock(t *testing.T) {
 	b := newMailbox(1)
 	boxes := map[ids.Client]*mailbox{0: a, 1: b}
 	net := newNetwork(0, func(c ids.Client) *mailbox { return boxes[c] }, nil)
+	defer net.stop()
 	const n = 64
 	sent := make(chan struct{}, 2)
 	go func() {
@@ -112,7 +136,108 @@ func TestZeroLatencySendDoesNotDeadlock(t *testing.T) {
 		<-a.ch
 		<-b.ch
 	}
-	net.wg.Wait()
+	settle(t, a, b)
+	for _, box := range []*mailbox{a, b} {
+		select {
+		case m := <-box.ch:
+			t.Fatalf("extra delivery %v after all %d expected", m, n)
+		default:
+		}
+	}
+}
+
+// TestRingQueueMatchesSliceModel drives a mailbox's ring queue directly,
+// with no pump, against a slice model of the insert rule (displace slots
+// before the tail, clamped to the front): chaos displacement after the
+// head has wrapped, growth while the contents are wrapped, and a
+// displacement larger than the queue must all pop in the model's order.
+func TestRingQueueMatchesSliceModel(t *testing.T) {
+	var r ring
+	var model []uint64
+	next := uint64(1)
+	push := func(displace int) {
+		t.Helper()
+		r.insert(delivery{env: envelope{seq: next}}, displace)
+		pos := len(model) - displace
+		if pos < 0 {
+			pos = 0
+		}
+		model = append(model, 0)
+		copy(model[pos+1:], model[pos:])
+		model[pos] = next
+		next++
+	}
+	pop := func() {
+		t.Helper()
+		if got := r.pop().env.seq; got != model[0] {
+			t.Fatalf("pop = %d, want %d (model %v)", got, model[0], model)
+		}
+		model = model[1:]
+	}
+
+	for i := 0; i < 6; i++ {
+		push(0)
+	}
+	for i := 0; i < 4; i++ {
+		pop()
+	}
+	if r.head == 0 {
+		t.Fatal("precondition: head did not advance")
+	}
+	// Fill the first buffer to the brim: the contents wrap past the end.
+	for len(model) < len(r.buf) {
+		push(len(model) % 3)
+	}
+	if r.head+r.n <= len(r.buf) {
+		t.Fatalf("precondition: contents not wrapped (head %d, n %d, cap %d)", r.head, r.n, len(r.buf))
+	}
+	capBefore := len(r.buf)
+	push(2) // grows while wrapped, then displaces
+	if len(r.buf) != 2*capBefore {
+		t.Fatalf("ring grew to %d slots, want %d", len(r.buf), 2*capBefore)
+	}
+	push(len(model) + 5) // displacement past the front clamps to it
+	push(0)
+	for len(model) > 0 {
+		pop()
+	}
+
+	// A longer seeded mix of pushes, pops and displacements, crossing the
+	// wrap point and several growths.
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		if len(model) > 0 && rnd.Intn(5) < 2 {
+			pop()
+		} else {
+			push(rnd.Intn(6))
+		}
+	}
+	for len(model) > 0 {
+		pop()
+	}
+	if r.n != 0 {
+		t.Fatalf("ring holds %d deliveries after the model drained", r.n)
+	}
+}
+
+// TestSendPathAllocs pins the allocation-free wire path: once a clean
+// link is warm, sending an already boxed message through the ring queue,
+// the pump and the resequencer to the owner's channel allocates nothing.
+func TestSendPathAllocs(t *testing.T) {
+	dst := newMailbox(1)
+	net := newNetwork(0, func(ids.Client) *mailbox { return dst }, nil)
+	defer net.stop()
+	var m message = payload{src: 0, n: 1}
+	roundTrip := func() {
+		net.send(0, 1, m)
+		<-dst.ch
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip()
+	}
+	if got := testing.AllocsPerRun(1000, roundTrip); got != 0 {
+		t.Fatalf("send → pump → resequencer → ch allocates %v times per message, want 0", got)
+	}
 }
 
 // TestChaosPolicyDeterministic pins the seeded policy: the same seed must

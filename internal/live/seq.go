@@ -7,12 +7,14 @@ import (
 	"repro/internal/ids"
 )
 
-// envelope wraps every protocol message on the wire with the sending
-// site's identity and a per-link monotonic sequence number. The sequence
-// is the protocol edge's defence against an adversarial transport: the
-// resequencer at each mailbox uses it to restore exactly-once, in-order
-// delivery per link, so the protocol cores never see reordering or
-// duplication no matter what the network does in between.
+// envelope is the one frame type on the wire. It wraps every protocol
+// message with the sending site's identity and a per-link monotonic
+// sequence number. The sequence is the protocol edge's defence against
+// an adversarial transport: the resequencer at each mailbox uses it to
+// restore exactly-once, in-order delivery per link, so the protocol
+// cores never see reordering or duplication no matter what the network
+// does in between. An unsequenced frame (seq 0, no msg) is a standalone
+// cumulative acknowledgement from src: see ackFrame.
 type envelope struct {
 	src ids.Client
 	seq uint64
@@ -58,10 +60,11 @@ func newResequencer() *resequencer {
 	}
 }
 
-// accept takes one arrived envelope and returns the messages that are now
-// deliverable in order: nothing (a duplicate, or a gap still open), or
-// the envelope's message followed by any buffered successors it unblocks.
-func (r *resequencer) accept(e envelope) []message {
+// accept takes one arrived envelope and appends to out the messages that
+// are now deliverable in order: nothing (a duplicate, or a gap still
+// open), or the envelope's message followed by any buffered successors
+// it unblocks.
+func (r *resequencer) accept(e envelope, out []message) []message {
 	if e.seq == 0 {
 		panic(fmt.Sprintf("live: unstamped %T from %v reached a resequencer", e.msg, e.src))
 	}
@@ -71,7 +74,7 @@ func (r *resequencer) accept(e envelope) []message {
 	}
 	switch {
 	case e.seq < want:
-		return nil // duplicate of an already-delivered message
+		return out // duplicate of an already-delivered message
 	case e.seq > want:
 		h := r.held[e.src]
 		if h == nil {
@@ -84,9 +87,9 @@ func (r *resequencer) accept(e envelope) []message {
 			}
 			h[e.seq] = e.msg
 		}
-		return nil
+		return out
 	}
-	out := []message{e.msg}
+	out = append(out, e.msg)
 	want = nextSeq(want)
 	for {
 		m, ok := r.held[e.src][want]

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // Termination-protocol backoff bounds: a shard with in-doubt (prepared)
@@ -466,6 +467,10 @@ type coordSite struct {
 	inquiries      int64
 	resolvedCommit int64
 	resolvedAbort  int64
+	// crashedTPC sums the 2PC counters of crashed incarnations, counting
+	// only the commit requests each one decided: clients retry the rest
+	// with a later incarnation, which counts them again.
+	crashedTPC stats.TwoPC
 }
 
 func newCoordSite(cl *cluster) *coordSite {
@@ -680,6 +685,9 @@ func (cs *coordSite) maybeCrash() {
 // inquiries resolve any participant left prepared by a dead round.
 func (cs *coordSite) crashRestart() {
 	cs.crashes++
+	dead := cs.coord.Counters()
+	dead.Txns = dead.Commits + dead.Aborts
+	cs.crashedTPC.Merge(dead)
 	coord := protocol.NewCoordinator(cs.cl.cfg.Victim, cs.cl.cfg.Deadlock)
 	if cs.cl.cfg.Crash.Prob > 0 {
 		coord.SetAlwaysPrepare(true)

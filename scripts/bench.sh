@@ -36,9 +36,11 @@ go test ./internal/live -run '^$' -count=1 -bench 'BenchmarkLiveCluster' \
 # Fold the `go test -bench` lines into one JSON document. Each line is
 #   BenchmarkName[-P]  iters  value unit  value unit ...
 # and every value/unit pair becomes a field keyed by its unit.
-awk -v goversion="$(go version | { read -r _ _ v _; echo "$v"; })" '
+# The suite is named after the output file: BENCH_9.json is "bench_9".
+suite=$(basename "$out" .json | tr '[:upper:]' '[:lower:]')
+awk -v suite="$suite" -v goversion="$(go version | { read -r _ _ v _; echo "$v"; })" '
 BEGIN {
-	printf "{\n  \"suite\": \"bench_9\",\n  \"go\": \"%s\",\n  \"benches\": [\n", goversion
+	printf "{\n  \"suite\": \"%s\",\n  \"go\": \"%s\",\n  \"benches\": [\n", suite, goversion
 	sep = ""
 }
 /^Benchmark/ {
